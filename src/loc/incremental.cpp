@@ -376,24 +376,10 @@ double IncrementalLocalizer::credible_region_area_deg2(double content) {
                 "credible content in (0, 1)");
   ensure_posterior();
   ADAPT_REQUIRE(!mixed_prob_.empty(), "credible region of an empty map");
-  // Greedy density cut, like the batch map: posterior density is
-  // monotone in the excess value, so sort by value (deterministic
-  // index tie-break).
-  std::vector<std::size_t> order(mixed_value_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (mixed_value_[a] != mixed_value_[b])
-      return mixed_value_[a] > mixed_value_[b];
-    return a < b;
-  });
-  double mass = 0.0;
-  double area = 0.0;
-  for (const std::size_t i : order) {
-    mass += mixed_prob_[i];
-    area += mixed_sa_[i];
-    if (mass >= content) break;
-  }
-  return area;
+  // Greedy density cut shared with the batch map (sky_grid.hpp):
+  // posterior density is monotone in the excess value, so the value
+  // is the density key.
+  return credible_region_area(mixed_value_, mixed_prob_, mixed_sa_, content);
 }
 
 double IncrementalLocalizer::credible_radius_deg(double content) {

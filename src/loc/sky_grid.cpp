@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/contract.hpp"
 #include "core/telemetry.hpp"
@@ -112,15 +113,13 @@ bool normalize_log_posterior(const SkyGrid& grid,
 
   double norm = 0.0;
   if (any_finite) {
-    for (std::size_t i = 0; i < total; ++i) {
+    grid.for_each_pixel([&](std::size_t row, std::size_t, std::size_t i) {
       const double v = log_post[i];
-      const double mass = std::isfinite(v)
-                              ? std::exp(v - max_log) *
-                                    grid.pixel_solid_angle_deg2(i)
-                              : 0.0;
+      const double sa = grid.row_pixel_solid_angle_deg2(row);
+      const double mass = std::isfinite(v) ? std::exp(v - max_log) * sa : 0.0;
       probability[i] = mass;
       norm += mass;
-    }
+    });
   }
 
   if (!(norm > 0.0) || !std::isfinite(norm)) {
@@ -131,15 +130,67 @@ bool normalize_log_posterior(const SkyGrid& grid,
         core::telemetry::counter("loc.skymap.degenerate");
     degenerate.add(1);
     double total_sa = 0.0;
-    for (std::size_t i = 0; i < total; ++i)
-      total_sa += grid.pixel_solid_angle_deg2(i);
-    for (std::size_t i = 0; i < total; ++i)
-      probability[i] = grid.pixel_solid_angle_deg2(i) / total_sa;
+    grid.for_each_pixel([&](std::size_t row, std::size_t, std::size_t) {
+      total_sa += grid.row_pixel_solid_angle_deg2(row);
+    });
+    grid.for_each_pixel([&](std::size_t row, std::size_t, std::size_t i) {
+      probability[i] = grid.row_pixel_solid_angle_deg2(row) / total_sa;
+    });
     return false;
   }
 
   for (double& p : probability) p /= norm;
   return true;
+}
+
+namespace {
+
+/// First chunk of the credible-region selection and its growth factor
+/// per round: a compact region (the usual alert) is found within the
+/// first chunk, a diffuse one in O(log n) rounds.
+constexpr std::size_t kFirstChunk = 256;
+constexpr std::size_t kChunkGrowth = 2;
+
+}  // namespace
+
+double credible_region_area(std::span<const double> density,
+                            std::span<const double> mass,
+                            std::span<const double> area, double content) {
+  ADAPT_REQUIRE(mass.size() == density.size() && area.size() == density.size(),
+                "credible region inputs differ in size");
+  const std::size_t n = density.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Strict total order: higher density first, NaN after every number,
+  // ties to the lower index — so selecting the next chunk with
+  // nth_element picks exactly the pixels a full sort would put there.
+  const auto before = [&](std::size_t a, std::size_t b) {
+    const double da = density[a];
+    const double db = density[b];
+    if (da > db) return true;
+    if (da < db) return false;
+    const bool a_nan = std::isnan(da);
+    if (a_nan != std::isnan(db)) return !a_nan;
+    return a < b;
+  };
+
+  double taken_mass = 0.0;
+  double taken_area = 0.0;
+  std::size_t chunk = kFirstChunk;
+  for (std::size_t begin = 0; begin < n; chunk *= kChunkGrowth) {
+    const std::size_t end = n - begin > chunk ? begin + chunk : n;
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = order.begin() + static_cast<std::ptrdiff_t>(end);
+    if (end < n) std::nth_element(first, last, order.end(), before);
+    std::sort(first, last, before);
+    for (auto it = first; it != last; ++it) {
+      taken_mass += mass[*it];
+      taken_area += area[*it];
+      if (taken_mass >= content) return taken_area;
+    }
+    begin = end;
+  }
+  return taken_area;
 }
 
 }  // namespace adapt::loc

@@ -28,6 +28,9 @@
 /// log-likelihoods -inf/NaN, or the normalization sum is zero or
 /// non-finite) it returns false, produces the *uniform* solid-angle
 /// posterior instead of NaNs, and counts `loc.skymap.degenerate`.
+///
+/// credible_region_area() is the one greedy credible-region cut both
+/// engines query (see its comment for the order and the cost).
 
 #include <cstddef>
 #include <optional>
@@ -73,6 +76,19 @@ class SkyGrid {
   core::Vec3 pixel_center(std::size_t index) const;
   core::Vec3 pixel_center(std::size_t row, std::size_t az) const;
 
+  /// Call `fn(row, az, index)` for every pixel in index order.  Whole-
+  /// map loops go through here so per-row data (solid angle, centre
+  /// polar angle) is read once per row rather than found by a row_of()
+  /// binary search per pixel.
+  template <typename Fn>
+  void for_each_pixel(Fn&& fn) const {
+    std::size_t index = 0;
+    for (std::size_t row = 0; row < az_bins_.size(); ++row) {
+      const auto bins = static_cast<std::size_t>(az_bins_[row]);
+      for (std::size_t az = 0; az < bins; ++az) fn(row, az, index++);
+    }
+  }
+
   /// Solid angle [deg^2] of one pixel in `row` (all pixels of a row
   /// are congruent).
   double row_pixel_solid_angle_deg2(std::size_t row) const {
@@ -109,5 +125,18 @@ class SkyGrid {
 bool normalize_log_posterior(const SkyGrid& grid,
                              std::span<const double> log_post,
                              std::vector<double>& probability);
+
+/// Area of the greedy credible region shared by both posterior
+/// engines: pixels are taken in decreasing `density` (equal densities
+/// in increasing pixel index; a NaN density ranks below -inf), their
+/// `mass` accumulated until it reaches `content`, and the summed
+/// `area` of the pixels taken is returned — every pixel's when the
+/// mass never reaches `content`.  The result is bit-identical to a
+/// full sort by that order, but only the chosen prefix is sorted: it
+/// is selected in geometrically growing chunks (nth_element, then
+/// sort of the chunk), so a compact region costs O(n).
+double credible_region_area(std::span<const double> density,
+                            std::span<const double> mass,
+                            std::span<const double> area, double content);
 
 }  // namespace adapt::loc

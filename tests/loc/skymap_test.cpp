@@ -8,6 +8,7 @@
 
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "loc/likelihood.hpp"
 
 namespace adapt::loc {
 namespace {
@@ -209,6 +210,65 @@ TEST(SkyMap, ResolutionControlsPixelCount) {
   EXPECT_GT(b.n_pixels(), 10 * a.n_pixels());
   EXPECT_THROW(SkyMap::compute(rings, SkyMapConfig{0.0, 3.0, 90.0}),
                std::invalid_argument);
+}
+
+TEST(SkyMap, ComputeMatchesPerPixelLikelihoodBitForBit) {
+  // The ring-outer kernel must reproduce, bit for bit, the posterior
+  // built from -truncated_neg_log_likelihood evaluated pixel by pixel
+  // on the usable rings — across resolutions (pixel counts that are
+  // not multiples of the kernel's block or SIMD width), with unusable
+  // rings mixed in, and with fewer rings than one SIMD width.
+  core::Rng rng(12);
+  const core::Vec3 s = core::from_spherical(0.6, 2.2);
+  recon::ComptonRing nan_axis;
+  nan_axis.axis = {std::numeric_limits<double>::quiet_NaN(), 0.0, 1.0};
+  nan_axis.eta = 0.3;
+  nan_axis.d_eta = 0.05;
+  recon::ComptonRing zero_width = nan_axis;
+  zero_width.axis = {0.0, 0.0, 1.0};
+  zero_width.d_eta = 0.0;
+  recon::ComptonRing negative_width = zero_width;
+  negative_width.d_eta = -0.05;
+
+  std::vector<std::vector<recon::ComptonRing>> ring_sets;
+  ring_sets.push_back(rings_for(s, 1, 0.05, rng));
+  ring_sets.push_back(rings_for(s, 3, 0.05, rng));
+  auto contaminated = rings_for(s, 120, 0.04, rng, 200);
+  contaminated.insert(contaminated.begin() + 5, nan_axis);
+  contaminated.insert(contaminated.begin() + 60, zero_width);
+  contaminated.push_back(negative_width);
+  ring_sets.push_back(contaminated);
+  ring_sets.push_back({zero_width, nan_axis});  // nothing usable
+
+  for (const double res : {0.5, 1.0, 2.0}) {
+    for (const double cap : {3.0, 1.5}) {
+      const SkyMapConfig config{res, cap, 90.0};
+      const SkyGrid grid(res, config.max_polar_deg);
+      for (const auto& rings : ring_sets) {
+        std::vector<recon::ComptonRing> usable;
+        for (const auto& r : rings)
+          if (ring_usable(r)) usable.push_back(r);
+        std::vector<double> log_post(grid.n_pixels());
+        for (std::size_t i = 0; i < grid.n_pixels(); ++i)
+          log_post[i] = -truncated_neg_log_likelihood(
+              usable, grid.pixel_center(i), cap);
+        const SkyMap want = SkyMap::from_log_posterior(grid, log_post, config);
+        const SkyMap got = SkyMap::compute(rings, config);
+        ASSERT_EQ(got.n_pixels(), want.n_pixels());
+        EXPECT_EQ(got.degenerate(), want.degenerate());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < grid.n_pixels(); ++i) {
+          const core::Vec3 c = grid.pixel_center(i);
+          ASSERT_EQ(grid.pixel_of(c), i);
+          if (got.probability_at(c) != want.probability_at(c)) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "res=" << res << " cap=" << cap << " rings=" << rings.size();
+        EXPECT_EQ(got.credible_region_area_deg2(0.68),
+                  want.credible_region_area_deg2(0.68));
+      }
+    }
+  }
 }
 
 }  // namespace
