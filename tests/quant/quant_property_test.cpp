@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nn/mlp.hpp"
 #include "quant/fuse.hpp"
@@ -28,6 +29,15 @@ struct ArchCase {
   std::size_t input_dim;
   double input_scale;
 };
+
+// gtest would otherwise print the raw bytes of the case, heap pointer of
+// `widths` included, so the test names would change from run to run.
+void PrintTo(const ArchCase& ac, std::ostream* os) {
+  *os << 'w';
+  for (std::size_t i = 0; i < ac.widths.size(); ++i)
+    *os << (i ? "-" : "") << ac.widths[i];
+  *os << "_in" << ac.input_dim << "_x" << ac.input_scale;
+}
 
 class QuantArchSweep : public ::testing::TestWithParam<ArchCase> {};
 
