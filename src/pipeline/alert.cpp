@@ -2,13 +2,43 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/require.hpp"
 #include "core/units.hpp"
 
 namespace adapt::pipeline {
 
+namespace {
+
+/// Fixes glibc malloc's mmap and trim thresholds, once per process.
+/// Left dynamic, both follow the allocation history, and a window's
+/// transient buffers (selected events, rings, network activations,
+/// the sky map: several MiB) were in some processes released to the
+/// kernel at the end of every window and faulted in again by the next
+/// one (~1300 page faults per window), so the same windows ran 10-20%
+/// slower in one process than in another.  The values are where
+/// glibc's dynamic rule itself ends on 64-bit (mmap above 32 MiB, trim
+/// past twice that); fixed, they keep window-sized buffers on the heap
+/// for reuse.
+void pin_heap_thresholds() {
+#if defined(__GLIBC__)
+  static const bool pinned = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)pinned;
+#endif
+}
+
+}  // namespace
+
 AlertPipeline::AlertPipeline(const AlertConfig& config)
     : config_(config), background_rate_hz_(config.trigger.background_rate_hz) {
+  pin_heap_thresholds();
   ADAPT_REQUIRE(config.pre_margin_s >= 0.0 && config.post_margin_s >= 0.0,
                 "selection margins must be >= 0");
   ADAPT_REQUIRE(config.credible_content > 0.0 &&

@@ -54,6 +54,9 @@ struct Alert {
 
 class AlertPipeline {
  public:
+  /// The first pipeline of a process also fixes the glibc allocator's
+  /// mmap/trim thresholds, so window after window reuses the same heap
+  /// instead of returning and re-faulting it (see alert.cpp).
   explicit AlertPipeline(const AlertConfig& config = {});
 
   /// Update the running background-rate estimate from a burst-free

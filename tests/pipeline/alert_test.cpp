@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <vector>
+
 #include "core/units.hpp"
 #include "sim/exposure.hpp"
 
@@ -111,6 +115,37 @@ TEST_F(AlertTest, RejectsBadConfig) {
   config = AlertConfig{};
   config.pre_margin_s = -1.0;
   EXPECT_THROW(AlertPipeline{config}, std::invalid_argument);
+}
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// A window's transient buffers, freed at its end, must be reused by the
+// next window rather than returned to the kernel and faulted in again
+// (which made window latency depend on the allocator's history).  With
+// glibc's dynamic thresholds, four 6 MiB buffers freed together exceed
+// the trim threshold the first window set, and every window re-faults
+// them.
+TEST(AlertPipelineHeap, WindowBuffersStayOnTheHeap) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the thresholds are glibc malloc's";
+#else
+  const AlertPipeline pipeline;
+  constexpr std::size_t kBytes = std::size_t{6} << 20;
+  long faults = 0;
+  for (int window = 0; window < 3; ++window) {
+    const long before = minor_faults();
+    std::vector<std::vector<char>> buffers;
+    for (int i = 0; i < 4; ++i) buffers.emplace_back(kBytes, 1);
+    faults = minor_faults() - before;
+  }
+  // Fresh pages cost one fault each (4 * kBytes / 4096 = 6144).
+  EXPECT_LT(faults, 256);
+#endif
 }
 
 }  // namespace
